@@ -240,3 +240,70 @@ fn different_seeds_differ_somewhere() {
          the sketches are not consuming their seeds"
     );
 }
+
+/// Golden pin for the batch-deletion replacement search: a power-law
+/// churn stream at n = 2000 repeatedly deletes tree edges of the giant
+/// component, so the Borůvka cascade over its split pieces runs on
+/// almost every batch. After each batch the sorted spanning forest,
+/// the component labels, the cumulative sampler-failure count and the
+/// batch's charged rounds and words are folded into a running FNV-1a
+/// hash; the final `Persist` bytes are hashed separately. Host-side
+/// shortcuts in the replacement search must leave both constants
+/// unchanged — at every worker count and every kernel tier.
+#[test]
+fn replacement_search_golden_pin() {
+    use mpc_stream::snapshot::{fnv1a, Persist, SnapshotWriter};
+    const TRACE_PIN: u64 = 0xc25a_0fed_8859_9eee;
+    const STATE_PIN: u64 = 0xf709_66f8_5bb9_263c;
+    let n = 2_000;
+    let stream = gen::powerlaw_churn_stream(n, 120, 64, 0.15, 0x601D);
+    let mut ctx = ctx_for(n);
+    let mut conn = Connectivity::new(n, ConnectivityConfig::default(), 0x5EED);
+    let mut trace = 0u64;
+    let mut giant_splits = 0usize;
+    for batch in &stream.batches {
+        // Does this batch delete a tree edge of the largest component?
+        let labels = conn.component_labels();
+        let mut sizes = vec![0usize; n];
+        for &c in labels {
+            sizes[c as usize] += 1;
+        }
+        let giant = (0..n).max_by_key(|&c| (sizes[c], std::cmp::Reverse(c)));
+        let forest: std::collections::BTreeSet<Edge> = conn.spanning_forest().into_iter().collect();
+        if batch.iter().any(|u| {
+            matches!(u, mpc_stream::graph::update::Update::Delete(e)
+                if forest.contains(&e) && Some(labels[e.u() as usize] as usize) == giant)
+        }) {
+            giant_splits += 1;
+        }
+
+        ctx.begin_phase("b");
+        conn.apply_batch(batch, &mut ctx).expect("in regime");
+        let r = ctx.end_phase();
+        let mut f = conn.spanning_forest();
+        f.sort();
+        let mut bytes = trace.to_le_bytes().to_vec();
+        for e in f {
+            bytes.extend(e.u().to_le_bytes());
+            bytes.extend(e.v().to_le_bytes());
+        }
+        for &c in conn.component_labels() {
+            bytes.extend(c.to_le_bytes());
+        }
+        bytes.extend(conn.sampler_failure_count().to_le_bytes());
+        bytes.extend(r.rounds.to_le_bytes());
+        bytes.extend(r.words.to_le_bytes());
+        trace = fnv1a(&bytes);
+    }
+    let mut w = SnapshotWriter::new(0);
+    w.begin_section("conn");
+    conn.save(&mut w);
+    w.end_section();
+    let state = fnv1a(&w.finish());
+    assert!(
+        giant_splits >= 40,
+        "only {giant_splits} batches split the giant tour — the pin would not exercise the cascade"
+    );
+    assert_eq!(trace, TRACE_PIN, "per-batch observables drifted");
+    assert_eq!(state, STATE_PIN, "final snapshot bytes drifted");
+}
