@@ -23,9 +23,17 @@ pub enum ConnectivityError {
     /// An MPC resource constraint was violated (e.g. the batch's
     /// auxiliary structures do not fit the coordinator machine).
     Mpc(MpcError),
-    /// A deletion referenced an edge the sketches say is absent, or
-    /// an insertion duplicated a live edge — the caller violated the
-    /// dynamic-graph contract.
+    /// The batch violated the dynamic-graph contract (insert only
+    /// absent edges, delete only live ones) in a way the structure
+    /// can see: an endpoint out of range, an insertion duplicating a
+    /// live *spanning-forest* edge, or more deletions than live
+    /// edges. Other violations — deleting an absent edge, or
+    /// re-inserting a live non-tree edge — are **not** detected; they
+    /// silently corrupt the sketches. The replacement search depends
+    /// on the contract: it takes the split pieces to be a union of
+    /// whole components with an empty cut (the premise of its
+    /// negated-sum shortcut and of its "sampled edge leaves the
+    /// affected component" debug assertion).
     InvalidBatch(Edge),
 }
 
@@ -479,7 +487,7 @@ impl Connectivity {
             .map(|&p| self.etf.tour_members(p).to_vec())
             .collect();
         // Replacement-edge search (Borůvka over the pieces).
-        let replacements = self.find_replacements(&pieces, ctx)?;
+        let replacements = self.find_replacements(&pieces, &piece_members, ctx)?;
         self.etf.batch_join(&replacements, ctx);
         // Recompute component ids for everything touched: group the
         // pieces by their final tour and take each group's minimum
@@ -514,10 +522,30 @@ impl Connectivity {
     }
 
     /// Borůvka over the split pieces using one fresh sketch copy per
-    /// level (Section 6.3, "Constructing F_H").
+    /// level (Section 6.3, "Constructing F_H"); `members[i]` lists the
+    /// vertices of piece `pieces[i]`.
+    ///
+    /// The pieces together are a union of whole pre-batch components
+    /// (every split tour was a whole component, and deletions only
+    /// shrink components), so their vertex set `A` has an empty cut
+    /// and its member columns sum to the zero sketch at every copy
+    /// (Lemma 3.3) — exactly, under the wrapping and field additions
+    /// the cells use. Hence the sketch of any supernode equals the
+    /// negated sum of all the others'. Each level uses that to skip
+    /// the largest active supernode (typically the remnant of a giant
+    /// component): it folds every other supernode once, samples the
+    /// active ones from their own folds, and samples the largest from
+    /// the negated sum of all of them — whenever those `|A| − |largest|`
+    /// columns are fewer than the direct route's (every active
+    /// supernode). Both routes produce bit-identical cells, so the
+    /// choice is invisible to samples, counters and snapshots, and the
+    /// model charges below still price the paper's full converge-cast.
+    /// The closedness of `A` rests on the dynamic-graph contract (see
+    /// [`ConnectivityError::InvalidBatch`]).
     fn find_replacements(
         &mut self,
         pieces: &[TourId],
+        members: &[Vec<VertexId>],
         ctx: &mut MpcContext,
     ) -> Result<Vec<Edge>, ConnectivityError> {
         let piece_index: BTreeMap<TourId, u32> = pieces
@@ -525,11 +553,7 @@ impl Connectivity {
             .enumerate()
             .map(|(i, &t)| (t, i as u32))
             .collect();
-        let members: Vec<Vec<VertexId>> = pieces
-            .iter()
-            .map(|&t| self.etf.tour_members(t).to_vec())
-            .collect();
-        let member_total: u64 = members.iter().map(|m| m.len() as u64).sum();
+        let member_total: usize = members.iter().map(Vec::len).sum();
         let sketch_words = self.bank.words_per_vertex() / self.bank.copies().max(1) as u64;
         let mut uf = UnionFind::new(pieces.len());
         let mut replacements: Vec<Edge> = Vec::new();
@@ -543,11 +567,19 @@ impl Connectivity {
         // The t copies merge along parallel aggregation trees (the
         // paper's regime has s >> log^3 n, so one machine holds many
         // sketches; the depth is governed by a single copy's size).
-        ctx.converge_cast(member_total.max(1), sketch_words);
+        ctx.converge_cast((member_total as u64).max(1), sketch_words);
         ctx.exchange(pieces.len() as u64 * sketch_words * self.bank.copies() as u64);
-        // One reusable merge accumulator serves every supernode of
-        // every level — the cascade allocates nothing per component.
+        // Reusable accumulators serve every supernode of every level —
+        // the cascade allocates nothing per component: `scratch` folds
+        // one supernode, `rest` sums the folds the largest supernode's
+        // sketch is negated from.
         let mut scratch = self.bank.new_scratch();
+        let mut rest = self.bank.new_scratch();
+        // Per-level buffers, by supernode position in `groups` order:
+        // the sample outcome (`None` for an exhausted supernode) and
+        // the sampled edges.
+        let mut outcomes: Vec<Option<EdgeSample>> = Vec::with_capacity(pieces.len());
+        let mut unions: Vec<Edge> = Vec::new();
         for level in 0..self.bank.copies() {
             // Group pieces by their current supernode.
             let mut groups: BTreeMap<u32, Vec<u32>> = BTreeMap::new();
@@ -557,28 +589,64 @@ impl Connectivity {
             if groups.len() <= 1 {
                 break;
             }
-            let mut progress = false;
-            let mut unions: Vec<Edge> = Vec::new();
-            for (root, group) in &groups {
+            let columns = |group: &[u32]| -> usize {
+                group.iter().map(|&pi| members[pi as usize].len()).sum()
+            };
+            // The direct route folds every active supernode; the
+            // complement route folds everything but the largest one.
+            let mut active_columns = 0usize;
+            let mut largest: Option<(usize, usize)> = None;
+            for (pos, (root, group)) in groups.iter().enumerate() {
                 if exhausted[*root as usize] {
+                    continue;
+                }
+                let c = columns(group);
+                active_columns += c;
+                if largest.is_none_or(|(_, best)| c > best) {
+                    largest = Some((pos, c));
+                }
+            }
+            let negated = largest
+                .filter(|&(_, c)| member_total - c < active_columns)
+                .map(|(pos, _)| pos);
+            rest.reset(level);
+            outcomes.clear();
+            for (pos, (root, group)) in groups.iter().enumerate() {
+                // The largest supernode is never folded; an exhausted
+                // one only as part of the complement's sum.
+                let active = !exhausted[*root as usize];
+                if Some(pos) == negated || (!active && negated.is_none()) {
+                    outcomes.push(None);
                     continue;
                 }
                 // Supernode sketch = Σ member-piece columns at this
                 // level, accumulated straight into the scratch.
                 scratch.reset(level);
-                let mut absorbed = 0usize;
                 for &pi in group {
                     // Host-parallel column merge (bit-identical; see
                     // SketchArena::merge_into_stealing).
-                    absorbed += self.bank.merge_copy_into_stealing(
+                    self.bank.merge_copy_into_stealing(
                         &members[pi as usize],
                         &mut scratch,
                         ctx.pool(),
                     );
                 }
-                let outcome = (absorbed > 0).then(|| self.bank.sample_merged(&scratch));
+                // A supernode with no materialized member has the zero
+                // sketch, which samples `Empty`.
+                outcomes.push(active.then(|| self.bank.sample_merged(&scratch)));
+                if negated.is_some() {
+                    self.bank.accumulate_scratch(&mut rest, &scratch);
+                }
+            }
+            if let Some(pos) = negated {
+                rest.negate();
+                outcomes[pos] = Some(self.bank.sample_merged(&rest));
+            }
+            unions.clear();
+            for (root, outcome) in groups.keys().zip(&outcomes) {
                 match outcome {
-                    None | Some(EdgeSample::Empty) => {
+                    None => {}
+                    Some(EdgeSample::Empty) => {
                         // No outgoing edge: this supernode is a
                         // complete component.
                         exhausted[*root as usize] = true;
@@ -588,15 +656,16 @@ impl Connectivity {
                         // randomness.
                         self.sampler_failures += 1;
                     }
-                    Some(EdgeSample::Edge(e)) => {
-                        unions.push(e);
-                    }
+                    Some(EdgeSample::Edge(e)) => unions.push(*e),
                 }
             }
-            for e in unions {
+            let mut progress = false;
+            for &e in &unions {
                 let ta = self.etf.tour_of(e.u());
                 let tb = self.etf.tour_of(e.v());
                 let (Some(&ia), Some(&ib)) = (piece_index.get(&ta), piece_index.get(&tb)) else {
+                    // Unreachable while the batch honours the
+                    // dynamic-graph contract: the pieces' cut is empty.
                     debug_assert!(false, "sampled edge {e} leaves the affected component");
                     continue;
                 };

@@ -28,6 +28,12 @@
 //!   sketches of every resulting piece; run Borůvka over the pieces
 //!   at the coordinator, consuming sketch copy `i` at level `i`;
 //!   `batch_join` the replacement edges; broadcast new component ids.
+//!   The pieces form a union of whole pre-batch components, so their
+//!   sketches sum to zero (Lemma 3.3): at each level the host derives
+//!   the largest active supernode's sketch as the negated sum of the
+//!   other supernodes' instead of folding its columns, whenever that
+//!   folds fewer columns. The cells are bit-identical either way, and
+//!   the model still charges the full converge-cast.
 //!
 //! # Examples
 //!

@@ -1,8 +1,10 @@
 //! Rule `alloc-hot-path`: no heap allocation reachable from the
-//! kernel folds or the interleaved merged-copy fold.
+//! kernel folds, the interleaved merged-copy fold, or the scratch
+//! accumulate/negate pair of the replacement search's complement
+//! route.
 //!
-//! The SIMD kernel tiers and `merge_copy_into` sit inside the
-//! converge-cast inner loop; an allocation there shows up directly in
+//! The SIMD kernel tiers, `merge_copy_into`, `accumulate_scratch` and
+//! `negate` sit inside the converge-cast inner loop; an allocation there shows up directly in
 //! the per-merge latency the E20 soak and `sketch/merged_copy`
 //! microbench track. Scratch buffers are preallocated by design
 //! (`new_scratch`, the SoA columns), so any `Vec::new`/`vec!`/
@@ -20,8 +22,10 @@ use crate::summary::{Effect, Summaries};
 use crate::RULE_ALLOC_HOT;
 
 /// Function names that are allocation-free roots wherever they are
-/// defined (the serial interleaved fold of the converge-cast loop).
-const ROOT_FNS: &[&str] = &["merge_copy_into"];
+/// defined (the serial interleaved fold of the converge-cast loop and
+/// the scratch-to-scratch sum and negation the cascade derives its
+/// largest supernode's sketch with).
+const ROOT_FNS: &[&str] = &["merge_copy_into", "accumulate_scratch", "negate"];
 
 /// Whether workspace function `f` is an allocation-free root.
 fn is_alloc_root(ws: &Workspace, f: usize) -> bool {
@@ -95,12 +99,7 @@ mod tests {
     use crate::summary;
 
     fn run(files: &[(&str, &str)]) -> Vec<Finding> {
-        let ws = Workspace::build(
-            files
-                .iter()
-                .map(|(p, s)| FileIndex::new(p, s))
-                .collect(),
-        );
+        let ws = Workspace::build(files.iter().map(|(p, s)| FileIndex::new(p, s)).collect());
         let sums = summary::compute(&ws);
         check(&ws, &sums)
     }
@@ -117,7 +116,9 @@ mod tests {
              fn stage(src: &[u64]) -> Vec<u64> { src.iter().copied().collect() }",
         )]);
         assert_eq!(f.len(), 2, "{f:?}");
-        assert!(f.iter().any(|x| x.line == 3 && x.message.contains(".to_vec()")));
+        assert!(f
+            .iter()
+            .any(|x| x.line == 3 && x.message.contains(".to_vec()")));
         assert!(f
             .iter()
             .any(|x| x.line == 2 && x.message.contains("merge_copy_into -> stage")));

@@ -219,8 +219,11 @@ mod tests {
                                  pub(crate) unsafe fn fold(dst: &mut [u64], src: &[i64]) {}";
         let f = run(&[
             ("portable.rs", CLEAN_PORTABLE),
-            ("sse2.rs", "pub(crate) unsafe fn fold(dst: &mut [u64], src: &[u64]) {}\n\
-                         pub(crate) unsafe fn scan(xs: &[u64]) -> Option<usize> { None }"),
+            (
+                "sse2.rs",
+                "pub(crate) unsafe fn fold(dst: &mut [u64], src: &[u64]) {}\n\
+                         pub(crate) unsafe fn scan(xs: &[u64]) -> Option<usize> { None }",
+            ),
             ("avx2.rs", avx2_missing_scan),
         ]);
         // avx2: scan missing + fold signature drift; sse2: fold and
@@ -235,8 +238,7 @@ mod tests {
             .any(|x| x.file.ends_with("avx2.rs") && x.message.contains("different signature")));
         assert_eq!(
             f.iter()
-                .filter(|x| x.file.ends_with("sse2.rs")
-                    && x.message.contains("scalar reference"))
+                .filter(|x| x.file.ends_with("sse2.rs") && x.message.contains("scalar reference"))
                 .count(),
             2,
             "{f:?}"

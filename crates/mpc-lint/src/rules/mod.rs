@@ -86,8 +86,7 @@ pub(crate) fn site_allow(
         let just = text[pos + needle.len()..]
             .trim_start_matches([':', '-', '—', ' '])
             .trim();
-        (just.chars().count() >= crate::allow::MIN_JUSTIFICATION)
-            .then(|| (*l, just.to_string()))
+        (just.chars().count() >= crate::allow::MIN_JUSTIFICATION).then(|| (*l, just.to_string()))
     })
 }
 

@@ -228,7 +228,10 @@ pub(crate) fn load_events(tokens: &[Token], body: (usize, usize)) -> Vec<Ev> {
                     line: tokens[i].line,
                 });
             }
-        } else if name == "load" && i >= 2 && tokens[i - 1].is_punct(':') && tokens[i - 2].is_punct(':')
+        } else if name == "load"
+            && i >= 2
+            && tokens[i - 1].is_punct(':')
+            && tokens[i - 2].is_punct(':')
         {
             out.push(Ev {
                 kind: "nested".to_string(),

@@ -341,18 +341,13 @@ fn persist_clean_fixture_passes() {
 #[test]
 fn persist_dirty_fixture_reports_kind_drift_and_the_dropped_field() {
     let (findings, _) = run("crates/mpc/src/stats.rs", "persist_dirty.rs");
-    let persist: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == RULE_PERSIST)
-        .collect();
+    let persist: Vec<_> = findings.iter().filter(|f| f.rule == RULE_PERSIST).collect();
     assert_eq!(persist.len(), 3, "{persist:?}");
     // Wire-kind drift: save writes u32 where load reads the u64 word.
     assert!(
-        persist
-            .iter()
-            .any(|f| f.message.contains("Wire")
-                && f.message.contains("(u32) at position 1")
-                && f.message.contains("round-trip")),
+        persist.iter().any(|f| f.message.contains("Wire")
+            && f.message.contains("(u32) at position 1")
+            && f.message.contains("round-trip")),
         "{persist:?}"
     );
     // Length drift plus the missing field, each named.
@@ -379,32 +374,60 @@ fn query_charge_clean_fixture_passes_with_direct_and_helper_charges() {
 #[test]
 fn query_charge_dirty_fixture_flags_only_the_uncharged_arm() {
     let (findings, _) = run("crates/msf/src/exact.rs", "query_charge_dirty.rs");
-    assert_eq!(keys(&findings), vec![(RULE_QUERY_CHARGE, 7)], "{findings:?}");
+    assert_eq!(
+        keys(&findings),
+        vec![(RULE_QUERY_CHARGE, 7)],
+        "{findings:?}"
+    );
     assert!(findings[0].message.contains("Estimator"));
     assert!(findings[0].message.contains("ledger"));
 }
 
 #[test]
 fn alloc_hot_clean_fixture_passes() {
-    let (findings, _) = run("crates/sketch/src/kernels/portable.rs", "alloc_hot_clean.rs");
+    let (findings, _) = run(
+        "crates/sketch/src/kernels/portable.rs",
+        "alloc_hot_clean.rs",
+    );
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn alloc_hot_dirty_fixture_reports_local_and_transitive_allocations() {
-    let (findings, _) = run("crates/sketch/src/kernels/portable.rs", "alloc_hot_dirty.rs");
+    let (findings, _) = run(
+        "crates/sketch/src/kernels/portable.rs",
+        "alloc_hot_dirty.rs",
+    );
     // Three findings: the root's local alloc, the transitive edge
     // into `scratch`, and `scratch`'s own local alloc (every fn in
     // the kernels directory is a root).
     assert_eq!(
         keys(&findings),
-        vec![(RULE_ALLOC_HOT, 2), (RULE_ALLOC_HOT, 3), (RULE_ALLOC_HOT, 6)],
+        vec![
+            (RULE_ALLOC_HOT, 2),
+            (RULE_ALLOC_HOT, 3),
+            (RULE_ALLOC_HOT, 6)
+        ],
         "{findings:?}"
     );
     assert!(findings.iter().any(|f| f.message.contains(".to_vec()")));
     assert!(findings
         .iter()
         .any(|f| f.message.contains("fold_cells -> scratch") && f.message.contains("vec!")));
+}
+
+#[test]
+fn alloc_hot_covers_the_scratch_accumulate_and_negate_ops() {
+    // Outside the kernels directory only the named roots are checked:
+    // the scratch sum and negation are flagged, a plain helper is not.
+    let (findings, _) = run("crates/sketch/src/arena.rs", "alloc_hot_scratch_ops.rs");
+    assert_eq!(
+        keys(&findings),
+        vec![(RULE_ALLOC_HOT, 2), (RULE_ALLOC_HOT, 6)],
+        "{findings:?}"
+    );
+    assert!(findings[0].message.contains("accumulate_scratch"));
+    assert!(findings[1].message.contains("negate"));
 }
 
 /// Runs the three kernel tier fixtures as one workspace.
@@ -448,10 +471,9 @@ fn kernel_parity_dirty_tier_reports_drift_missing_op_and_reference() {
         "{parity:?}"
     );
     assert!(
-        parity
-            .iter()
-            .any(|f| f.message.contains("`fold_cells`")
-                && f.message.contains("different signature")),
+        parity.iter().any(
+            |f| f.message.contains("`fold_cells`") && f.message.contains("different signature")
+        ),
         "{parity:?}"
     );
     assert!(
@@ -470,7 +492,10 @@ fn deleting_a_real_persist_load_read_names_the_field() {
     let source = std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("read {path}: {e}"));
     let clean = lint_source("crates/mpc/src/stats.rs", &source).0;
     let persist: Vec<_> = clean.iter().filter(|f| f.rule == RULE_PERSIST).collect();
-    assert!(persist.is_empty(), "real stats.rs is not clean: {persist:?}");
+    assert!(
+        persist.is_empty(),
+        "real stats.rs is not clean: {persist:?}"
+    );
 
     let read = "            checkpoint_bytes: Persist::load(r)?,\n";
     assert_eq!(
@@ -484,7 +509,11 @@ fn deleting_a_real_persist_load_read_names_the_field() {
         .iter()
         .find(|f| f.rule == RULE_PERSIST)
         .expect("mutated stats must fail persist-symmetry");
-    assert!(hit.message.contains("`checkpoint_bytes`"), "{}", hit.message);
+    assert!(
+        hit.message.contains("`checkpoint_bytes`"),
+        "{}",
+        hit.message
+    );
     assert!(hit.message.contains("MaintainerStats"), "{}", hit.message);
 }
 

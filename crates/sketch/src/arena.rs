@@ -596,22 +596,31 @@ impl SketchArena {
         pool.steal_each(&mut spans, |(span, partial)| {
             self.merge_into(span, partial);
         });
-        let mut absorbed = 0usize;
+        let before = scratch.absorbed;
         for (_, partial) in &spans {
-            self.kernel.fold_soa(
-                &mut scratch.value_sum,
-                &mut scratch.index_sum,
-                &mut scratch.fp,
-                &partial.value_sum,
-                &partial.index_sum,
-                &partial.fp,
-            );
-            scratch.live |= partial.live;
-            scratch.dense |= partial.dense;
-            absorbed += partial.absorbed;
+            self.accumulate_scratch(scratch, partial);
         }
-        scratch.absorbed += absorbed;
-        absorbed
+        scratch.absorbed - before
+    }
+
+    /// Adds the set sketch accumulated in `src` into `dst` (both bound
+    /// to the same copy) through the kernel's struct-of-arrays fold,
+    /// unioning the live masks and absorbed counts — bit-identical to
+    /// `dst` having absorbed `src`'s member columns itself, since cell
+    /// merges are associative and commutative.
+    pub fn accumulate_scratch(&self, dst: &mut MergeScratch, src: &MergeScratch) {
+        debug_assert_eq!(dst.copy, src.copy, "accumulators bound to different copies");
+        self.kernel.fold_soa(
+            &mut dst.value_sum,
+            &mut dst.index_sum,
+            &mut dst.fp,
+            &src.value_sum,
+            &src.index_sum,
+            &src.fp,
+        );
+        dst.live |= src.live;
+        dst.dense |= src.dense;
+        dst.absorbed += src.absorbed;
     }
 }
 
@@ -734,6 +743,26 @@ impl MergeScratch {
     #[inline]
     pub fn levels(&self) -> usize {
         self.value_sum.len()
+    }
+
+    /// Turns the accumulated sketch of `X` into the sketch of `−X`:
+    /// one scalar pass negating every cell (wrapping two's-complement
+    /// negation of the sums, field negation of the fingerprint). A
+    /// cell negates to zero iff it was zero, so the live mask still
+    /// covers every nonzero level. When the accumulated columns are
+    /// those of a closed vertex set minus a subset `G` (a set with an
+    /// empty cut sums to the zero sketch, Lemma 3.3), the negation is
+    /// bit for bit the sketch of `G`.
+    pub fn negate(&mut self) {
+        for v in &mut self.value_sum {
+            *v = v.wrapping_neg();
+        }
+        for i in &mut self.index_sum {
+            *i = i.wrapping_neg();
+        }
+        for f in &mut self.fp {
+            *f = -*f;
+        }
     }
 }
 

@@ -92,6 +92,13 @@ impl SketchBank {
         &self.arena
     }
 
+    /// Overrides the arena's kernel tier (see
+    /// [`SketchArena::set_kernel`]) — the hook cross-tier property
+    /// tests use on whole banks. Returns the tier actually installed.
+    pub fn set_kernel(&mut self, kernel: crate::KernelKind) -> crate::KernelKind {
+        self.arena.set_kernel(kernel)
+    }
+
     /// Records an edge insertion in **both** endpoints' sketch
     /// columns (all copies), one level-hash/fingerprint evaluation
     /// per copy for the pair.
@@ -181,6 +188,14 @@ impl SketchBank {
         pool: Option<&mpc_sim::WorkerPool>,
     ) -> usize {
         self.arena.merge_into_stealing(members, scratch, pool)
+    }
+
+    /// Adds the set sketch accumulated in `src` into `dst` (see
+    /// [`SketchArena::accumulate_scratch`]) — how a cascade sums
+    /// several supernodes' sketches it has already folded, without
+    /// re-reading their member columns.
+    pub fn accumulate_scratch(&self, dst: &mut MergeScratch, src: &MergeScratch) {
+        self.arena.accumulate_scratch(dst, src);
     }
 
     /// Samples the set sketch accumulated in `scratch` (the cut of

@@ -115,7 +115,9 @@ unsafe fn add_i128_pair(d: __m256i, a: __m256i) -> __m256i {
 /// SAFETY: requires AVX2 (callers dispatch only after feature detection).
 /// Slice lengths must be equal; all pointer arithmetic is within
 /// `chunks_exact(4)` chunks.
-#[allow(dead_code)] // dispatch routes the SoA fold to the scalar body; the tier stays for parity + the bit-identity test
+// Dispatch routes the SoA fold to the scalar body; the tier stays for
+// parity + the bit-identity test.
+#[allow(dead_code)]
 #[target_feature(enable = "avx2")]
 pub(crate) unsafe fn fold_cells_soa(src: &[Cell], vs: &mut [i64], is: &mut [i128], fp: &mut [M61]) {
     let mut cells = src.chunks_exact(4);
