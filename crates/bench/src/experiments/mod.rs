@@ -1,7 +1,7 @@
 //! Experiments E1–E20 (see DESIGN.md §5 for the index; E13–E16 are
 //! the extension experiments, E17 the Session-level workload table,
 //! E18 the parallel-executor scaling curve, E19 the checkpoint/
-//! recovery soak, E20 the million-scale SIMD soak).
+//! recovery soak, E20 the million-scale churn soak).
 
 pub mod connectivity;
 pub mod extensions;
@@ -38,7 +38,7 @@ pub fn run(id: &str) -> Vec<Table> {
         "e17" => session::e17_session_workload(),
         "e18" => parallel::e18_parallel_scaling(),
         "e19" => snapshot::e19_snapshot_soak(),
-        "e20" => soak::e20_simd_soak(),
+        "e20" => soak::e20_churn_soak(),
         other => panic!("unknown experiment id {other:?} (use e1..e20 or all)"),
     }
 }

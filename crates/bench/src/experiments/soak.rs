@@ -1,24 +1,23 @@
-//! Experiment E20: the million-scale SIMD soak (the PR-9 tentpole's
-//! proof of life).
+//! Experiment E20: the million-scale churn soak.
 //!
 //! One sketch-heavy [`Session`] — batch-dynamic connectivity at a
 //! fixed copy count — drives a power-law stream with adversarial
 //! re-insert/delete churn ([`gen::powerlaw_churn_stream`]): hub cells
 //! are repeatedly written, exactly cancelled, and refilled, which is
-//! the worst case for the arena's live-mask bookkeeping and exactly
-//! the loop the [`mpc_sketch::kernels`] tiers vectorize. The loop
-//! interleaves periodic `ask_all` component counts and periodic
-//! `Session::checkpoint` calls, so the measured stream is the full
-//! production surface (ingest + query fan-out + durability), not a
-//! bare ingest microloop.
+//! the worst case for the arena's live-mask bookkeeping and for the
+//! [`mpc_sketch::kernels`] loops. The loop interleaves periodic
+//! `ask_all` component counts and periodic `Session::checkpoint`
+//! calls, so the measured stream is the full production surface
+//! (ingest + query fan-out + durability), not a bare ingest
+//! microloop.
 //!
-//! The table reports end-to-end throughput plus p50/p95/p99
-//! **per-batch latencies** (nearest-rank over every `apply_batch`
-//! wall time, via the vendored harness's `percentile`), and the
-//! kernel tier the run dispatched to — run once with `MPC_KERNEL=
-//! scalar` and once unset to read the SIMD speedup at scale; the
-//! component counts and final stats must match bit-for-bit between
-//! those runs (the kernel bit-identity contract).
+//! The host keeps the live edge set alongside the session, and every
+//! asked component count is checked against a union-find rebuild
+//! ([`oracle::component_count`]); a mismatch panics. The oracle's
+//! time is excluded from the reported wall time. The table reports
+//! end-to-end throughput plus p50/p95/p99 **per-batch latencies**
+//! (nearest-rank over every `apply_batch` wall time, via the vendored
+//! harness's `percentile`).
 //!
 //! By default the soak runs a lite shape (`n = 10⁴`, ~6·10⁴ updates)
 //! sized for CI smoke; set `MPC_SOAK_SCALE=full` for the committed
@@ -26,9 +25,8 @@
 //! multi-million-update streams).
 
 use crate::table::Table;
-use mpc_graph::gen;
+use mpc_graph::{gen, oracle, DynamicGraph};
 use mpc_sim::MpcConfig;
-use mpc_sketch::KernelKind;
 use mpc_stream_core::{Connectivity, ConnectivityConfig, QueryRequest, Session};
 use std::time::{Duration, Instant};
 
@@ -52,17 +50,19 @@ fn soak_session(n: usize, seed: u64) -> Session {
     session
 }
 
-/// E20 — the SIMD soak: power-law churn at `n = 10⁵`/`10⁶` with
-/// in-loop queries and checkpoints, batch-latency percentiles, and
-/// the dispatched kernel tier on record.
+/// E20 — the churn soak: power-law churn at `n = 10⁵`/`10⁶` with
+/// in-loop oracle-checked queries and checkpoints, and batch-latency
+/// percentiles.
 ///
-/// Shape expectations: `updates/s` is the headline the kernel tiers
-/// move (compare `MPC_KERNEL=scalar` against auto); p99 sits well
-/// above p50 because churn batches that trigger the replacement-edge
-/// cascade pay converge-cast rounds that insert-only batches never
-/// see; `components` is identical across kernel tiers at the same
-/// seed (bit-identity).
-pub fn e20_simd_soak() -> Vec<Table> {
+/// Shape expectations: p99 sits well above p50 because churn batches
+/// that trigger the replacement-edge cascade pay converge-cast rounds
+/// that insert-only batches never see; `components` is the final
+/// oracle-checked count.
+///
+/// # Panics
+///
+/// Panics if an asked component count differs from the oracle's.
+pub fn e20_churn_soak() -> Vec<Table> {
     let full = std::env::var("MPC_SOAK_SCALE").is_ok_and(|v| v == "full");
     // (n, batches, batch width, churn, query cadence, ckpt cadence).
     let shapes: &[(usize, usize, usize, f64, usize, usize)] = if full {
@@ -73,12 +73,11 @@ pub fn e20_simd_soak() -> Vec<Table> {
     } else {
         &[(10_000, 250, 256, 0.15, 50, 125)]
     };
-    let kernel = KernelKind::selected();
     let mut t = Table::new(
-        "E20 (SIMD soak): power-law churn, in-loop queries + checkpoints, batch-latency percentiles",
+        "E20 (churn soak): power-law churn, oracle-checked in-loop queries + checkpoints, \
+         batch-latency percentiles",
         &[
             "n",
-            "kernel",
             "updates",
             "wall s",
             "updates/s",
@@ -100,11 +99,16 @@ pub fn e20_simd_soak() -> Vec<Table> {
         let mut asks = 0u32;
         let mut ckpts = 0u32;
         let mut components = 0u64;
+        let mut live = DynamicGraph::new(n);
+        let mut oracle_time = Duration::ZERO;
         let start = Instant::now();
         for (i, batch) in stream.batches.iter().enumerate() {
             let t0 = Instant::now();
             session.apply_batch(batch).expect("generated stream valid");
             latencies.push(t0.elapsed());
+            let t0 = Instant::now();
+            live.apply(batch).expect("generated stream valid");
+            oracle_time += t0.elapsed();
             if (i + 1) % ask_every == 0 || i + 1 == batches {
                 let answers = session
                     .ask_all(&QueryRequest::ComponentCount)
@@ -112,13 +116,22 @@ pub fn e20_simd_soak() -> Vec<Table> {
                 let (_, answer) = answers.first().expect("one maintainer");
                 components = answer.as_count().expect("a count");
                 asks += 1;
+                let t0 = Instant::now();
+                let expected = oracle::component_count(n, live.edges());
+                oracle_time += t0.elapsed();
+                assert_eq!(
+                    components,
+                    expected as u64,
+                    "E20 n={n}: component count after batch {} disagrees with the oracle",
+                    i + 1
+                );
             }
             if (i + 1) % ckpt_every == 0 {
                 session.checkpoint(&path).expect("checkpoint");
                 ckpts += 1;
             }
         }
-        let wall = start.elapsed();
+        let wall = start.elapsed() - oracle_time;
         if ckpts > 0 {
             std::fs::remove_file(&path).expect("scratch snapshot removable");
         }
@@ -131,7 +144,6 @@ pub fn e20_simd_soak() -> Vec<Table> {
         };
         t.row(vec![
             n.to_string(),
-            kernel.name().to_string(),
             updates.to_string(),
             format!("{:.1}", wall.as_secs_f64()),
             format!("{:.0}", updates as f64 / wall.as_secs_f64()),

@@ -20,10 +20,8 @@ pub const P: u64 = (1u64 << 61) - 1;
 /// assert_eq!((a * b).value(), 35);
 /// assert_eq!((a - b) + b, a);
 /// ```
-/// The `repr(transparent)` layout is a documented guarantee: an
-/// `M61` is exactly one `u64` holding the canonical representative,
-/// which the sketch crate's vectorized kernels rely on to load slices
-/// of field elements as raw 64-bit lanes.
+/// An `M61` is exactly one `u64` holding the canonical
+/// representative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 #[repr(transparent)]
 pub struct M61(u64);
@@ -49,18 +47,6 @@ impl M61 {
         } else {
             -M61::new(v.unsigned_abs())
         }
-    }
-
-    /// Creates a field element from a value that is **already
-    /// reduced** into `[0, P)` — the fast constructor for kernel code
-    /// whose arithmetic maintains the reduction invariant itself
-    /// (e.g. a conditional-subtract modular add). Debug builds verify
-    /// the claim; release builds trust it, so callers must only pass
-    /// values below [`P`].
-    #[inline]
-    pub fn from_reduced(v: u64) -> Self {
-        debug_assert!(v < P, "from_reduced got unreduced value {v}");
-        M61(v)
     }
 
     /// Returns the canonical representative in `[0, P)`.

@@ -21,20 +21,19 @@
 //! |---|---|
 //! | `event-completeness` | Every mutating `MpcContext` primitive records an `MpcEvent`, every variant is recorded by some primitive, and every variant has an explicit `replay_inner` arm (no wildcard). A gap here is exactly the PR-6-style drift the serial-equivalence suite would only catch dynamically — and only if a test happens to exercise the missing primitive. |
 //! | `no-panic-hot-path` | `unwrap`/`expect`/`panic!`/`todo!`/`unimplemented!`/`assert!`/`assert_eq!`/`assert_ne!` (but **not** `debug_assert!`) are banned inside `apply_batch`, `answer`, and the arena merge / converge-cast kernels — the PR-3 de-panicking contract. |
-//! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs` and the SIMD kernel directory `crates/sketch/src/kernels/`; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]` (the sketch root, whose kernels hold module-level allows `forbid` would reject, carries `#![deny(unsafe_code)]` instead). |
+//! | `unsafe-hygiene` | `unsafe` is confined to an explicit allowlist — `crates/mpc/src/executor.rs` only; every `unsafe` there carries a `// SAFETY:` argument within the preceding 8 lines; every other crate root carries `#![forbid(unsafe_code)]`. |
 //! | `determinism-hygiene` | No `Instant`/`SystemTime`, no default-hasher `HashMap`/`HashSet`, no raw `Mutex`/`RwLock`/`Condvar`/`std::thread::spawn` outside the executor, no `dbg!`/`println!` in library crates. Tool crates (`mpc-bench`, `mpc-lint`) and `#[cfg(test)]` code are out of scope. |
 //! | `maintain-completeness` | Every production `impl Maintain` defines both `supports` and `answer` (the pair PR 6 had to retrofit). |
 //! | `io-hygiene` | `std::fs`/`std::io` are confined to `crates/mpc-snapshot` (the one sanctioned persistence path — the checksummed snapshot container behind `Session::checkpoint`/`restore`) and the tool crates. |
 //! | `allow-hygiene` | Meta rule: every inline allow must name a known rule and carry justification text. |
 //! | `panic-reachability` | Interprocedural closure of the PR-3 contract: a hot entry point (`apply_batch`, `answer`, the merge/sample/converge-cast kernels) must not *reach* a panicking construct through any chain of workspace calls, not merely avoid panicking directly. Findings print the shortest witness chain (`ExactMsf::apply_batch -> ExactMsf::one_iteration -> ...`). Site-level allows at the panic site are honored and routed around. |
 //! | `persist-symmetry` | Every `impl Persist` pair must round-trip: `save` and `load` agree on the word-kind sequence (`u32` vs 64-bit words), every field `save` writes is read back by `load`, and shared fields appear in the same order — the static mirror of the snapshot suite's byte-stability tests. |
-//! | `kernel-parity` | The three SIMD tiers (`portable.rs`, `sse2.rs`, `avx2.rs`) expose the same op surface with token-identical signatures, and every SIMD op names its scalar reference (`portable::<op>` in the body or the doc comment) — the static mirror of the tier bit-identity suite. |
 //! | `query-charging` | Every `Ok`-returning arm of `Maintain::answer` charges the accounting context (`exchange`/`broadcast`/`converge_cast`/`sort`/`gather`), directly or through a helper on the call graph — answering free of charge is an accounting leak. |
-//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into` and the SIMD kernels) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
+//! | `alloc-hot-path` | The zero-alloc merge path (`merge_copy_into` and the sketch kernel loops) must not allocate (`Vec::new`/`with_capacity`/`vec!`/`to_vec`/`collect`/`Box::new`), directly or transitively; the stealing variant is exempt (it owns its scratch). |
 //!
 //! # The interprocedural phase
 //!
-//! The first seven rules are per-file. The last five run over a
+//! The first seven rules are per-file. The last four run over a
 //! workspace-wide symbol table and call graph ([`graph::Workspace`]):
 //! every function is indexed with its owner `impl`, receiver, and
 //! arity; call sites resolve by name with receiver/arity ranking
@@ -80,12 +79,10 @@
 //! element is claimed by exactly one lane, and both parallel `Session`
 //! fan-outs assert that a replayed branch charges exactly the rounds
 //! and words its fork recorded (the differential fork/replay audit).
-//! Conversely, two of the interprocedural rules are static mirrors of
-//! existing runtime suites: `persist-symmetry` mirrors the snapshot
-//! byte-stability tests (a drifted `save`/`load` pair fails both, but
-//! the lint names the field without running anything), and
-//! `kernel-parity` mirrors the SIMD tier bit-identity suite the same
-//! way.
+//! Conversely, `persist-symmetry` is a static mirror of an existing
+//! runtime suite, the snapshot byte-stability tests: a drifted
+//! `save`/`load` pair fails both, but the lint names the field
+//! without running anything.
 //!
 //! # CLI
 //!
@@ -129,11 +126,9 @@ pub const RULE_ALLOW_HYGIENE: &str = "allow-hygiene";
 pub const RULE_PANIC_REACH: &str = "panic-reachability";
 /// Rule id: `Persist::save`/`load` mirror each other field-for-field.
 pub const RULE_PERSIST: &str = "persist-symmetry";
-/// Rule id: kernel ops exist at all tiers with matching signatures.
-pub const RULE_KERNEL_PARITY: &str = "kernel-parity";
 /// Rule id: `Maintain::answer` charges the context before `Ok`.
 pub const RULE_QUERY_CHARGE: &str = "query-charging";
-/// Rule id: no heap allocation reachable from kernel folds.
+/// Rule id: no heap allocation reachable from the merge-path folds.
 pub const RULE_ALLOC_HOT: &str = "alloc-hot-path";
 
 /// Every rule id with a one-paragraph explanation (`--explain`).
@@ -159,13 +154,10 @@ pub const RULES: &[(&str, &str)] = &[
     (
         RULE_UNSAFE,
         "Confines `unsafe` to the reviewed allowlist — crates/mpc/src/executor.rs (the \
-         work-stealing executor) and crates/sketch/src/kernels/ (the #[target_feature] \
-         SIMD tiers, allowlisted as a directory) — requires a `// SAFETY:` comment within \
-         8 lines above every unsafe use there, and requires `#![forbid(unsafe_code)]` on \
-         every other crate root so the confinement is also compiler-enforced. The sketch \
-         crate root is the one exception to `forbid`: its kernels carry module-level \
-         allows that `forbid` cannot be overridden by, so that root must carry \
-         `#![deny(unsafe_code)]` instead, which the rule verifies explicitly.",
+         work-stealing executor), the one file with a need for it — requires a \
+         `// SAFETY:` comment within 8 lines above every unsafe use there, and requires \
+         `#![forbid(unsafe_code)]` on every other crate root so the confinement is also \
+         compiler-enforced.",
     ),
     (
         RULE_DETERMINISM,
@@ -201,7 +193,7 @@ pub const RULES: &[(&str, &str)] = &[
         RULE_PANIC_REACH,
         "The transitive closure of no-panic-hot-path: walks the workspace call graph from \
          every hot root (apply_batch, answer, the arena merge/sample kernels, everything in \
-         crates/sketch/src/kernels/) and reports any call edge into a function whose effect \
+         crates/sketch/src/kernels.rs) and reports any call edge into a function whose effect \
          summary says it can reach unwrap/expect/panic!/assert! (debug_assert!* stays \
          legal), printing the shortest witness chain. The body rule sees a panic *in* the \
          hot function; this rule sees the one hidden two helpers deep, which loses a worker \
@@ -215,17 +207,8 @@ pub const RULES: &[(&str, &str)] = &[
          each other — same primitive wire kinds in the same sequence (u64 and usize share \
          a wire word; skipped for enum impls that branch via match), every named field \
          written by save read back by load, and shared field names in the same order. \
-         Derived writes (self.pow.len()) and reconstructed load-side fields \
-         (KernelKind::selected()) are exempt by construction.",
-    ),
-    (
-        RULE_KERNEL_PARITY,
-        "The static twin of the kernel tier bit-identity tests: every op visible in at \
-         least two of crates/sketch/src/kernels/{portable,sse2,avx2}.rs must exist in all \
-         three tiers with token-identical signatures (tier-local private helpers are \
-         exempt), and every SSE2/AVX2 op must name its scalar reference — portable::<op> \
-         in the body or portable::<op>/KernelKind::<op> in its docs — so the behavioral \
-         contract stays navigable from the intrinsics.",
+         Derived writes (self.pow.len()) and load-side fields rebuilt from other state \
+         are exempt by construction.",
     ),
     (
         RULE_QUERY_CHARGE,
@@ -239,7 +222,7 @@ pub const RULES: &[(&str, &str)] = &[
     ),
     (
         RULE_ALLOC_HOT,
-        "Kernel tier bodies and merge_copy_into run inside the converge-cast inner loop \
+        "The sketch kernel loops and merge_copy_into run inside the converge-cast inner loop \
          with preallocated scratch; any Vec::new/vec!/collect()/to_vec()/format!-style \
          heap allocation there — or reachable from there through workspace helpers — is a \
          latency regression the E20 soak would surface later. Flagged unless justified \
@@ -299,9 +282,9 @@ pub fn lint_source(rel_path: &str, source: &str) -> (Vec<Finding>, Vec<AppliedAl
 /// Lints a set of `(rel_path, source)` files as one workspace: the
 /// per-file rules run on each file, then the symbol table / call
 /// graph is built across all of them and the interprocedural rules
-/// (panic-reachability, persist-symmetry, kernel-parity,
-/// query-charging, alloc-hot-path) run over the whole set. Allow
-/// comments suppress findings of both phases.
+/// (panic-reachability, persist-symmetry, query-charging,
+/// alloc-hot-path) run over the whole set. Allow comments suppress
+/// findings of both phases.
 pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAllow>) {
     // Phase 1: per-file rules, with each file's parsed allows kept
     // for post-hoc application to interprocedural findings.
@@ -349,7 +332,6 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
     let sums = summary::compute(&ws);
     findings.extend(rules::panic_reach::check(&ws, &sums));
     findings.extend(rules::persist::check(&ws));
-    findings.extend(rules::kernel_parity::check(&ws));
     findings.extend(rules::query_charge::check(&ws, &sums));
     findings.extend(rules::alloc_hot::check(&ws, &sums));
 
@@ -385,8 +367,7 @@ pub fn lint_sources(files: &[(String, String)]) -> (Vec<Finding>, Vec<AppliedAll
 
 /// Crate roots that must carry `#![forbid(unsafe_code)]`: every
 /// `crates/<name>/src/lib.rs` except mpc-sim's (the executor is
-/// allowlisted) and mpc-sketch's (see [`needs_deny`]), plus the
-/// facade.
+/// allowlisted), plus the facade.
 fn needs_forbid(rel_path: &str) -> bool {
     if rel_path == "src/lib.rs" {
         return true;
@@ -394,15 +375,7 @@ fn needs_forbid(rel_path: &str) -> bool {
     let Some(rest) = rel_path.strip_prefix("crates/") else {
         return false;
     };
-    rest.ends_with("/src/lib.rs") && !rest.starts_with("mpc/") && !rest.starts_with("sketch/")
-}
-
-/// Crate roots that must carry `#![deny(unsafe_code)]` instead of
-/// `forbid`: only mpc-sketch's, whose allowlisted `kernels` modules
-/// hold `#![allow(unsafe_code)]` that `forbid` could not be
-/// overridden by.
-fn needs_deny(rel_path: &str) -> bool {
-    rel_path == "crates/sketch/src/lib.rs"
+    rest.ends_with("/src/lib.rs") && !rest.starts_with("mpc/")
 }
 
 /// Lints the whole workspace rooted at `root`.
@@ -428,18 +401,14 @@ pub fn lint_workspace(root: &Path) -> std::io::Result<Report> {
     report.allows.extend(applied);
     for (rel, source) in &sources {
         saw_context |= rel == "crates/mpc/src/context.rs";
-        if needs_forbid(rel) || needs_deny(rel) {
+        if needs_forbid(rel) {
             let lexed = lexer::lex(source);
             let ctx = FileCtx {
                 rel_path: rel,
                 lexed: &lexed,
                 test_ranges: &[],
             };
-            if needs_forbid(rel) {
-                report.findings.extend(rules::unsafety::check_forbid(&ctx));
-            } else {
-                report.findings.extend(rules::unsafety::check_deny(&ctx));
-            }
+            report.findings.extend(rules::unsafety::check_forbid(&ctx));
         }
         report.files_scanned += 1;
     }
@@ -527,18 +496,14 @@ mod tests {
     }
 
     #[test]
-    fn forbid_required_everywhere_but_mpc_sim_and_sketch() {
+    fn forbid_required_everywhere_but_mpc_sim() {
         assert!(needs_forbid("crates/graph/src/lib.rs"));
+        assert!(needs_forbid("crates/sketch/src/lib.rs"));
         assert!(needs_forbid("src/lib.rs"));
         assert!(needs_forbid("crates/mpc-lint/src/lib.rs"));
         assert!(!needs_forbid("crates/mpc/src/lib.rs"));
         assert!(!needs_forbid("crates/graph/src/ids.rs"));
-        // The sketch root trades `forbid` for `deny` so its kernels'
-        // module-level allows can exist; `deny` is then mandatory.
-        assert!(!needs_forbid("crates/sketch/src/lib.rs"));
-        assert!(needs_deny("crates/sketch/src/lib.rs"));
-        assert!(!needs_deny("crates/graph/src/lib.rs"));
-        assert!(!needs_deny("crates/sketch/src/arena.rs"));
+        assert!(!needs_forbid("crates/sketch/src/arena.rs"));
     }
 
     #[test]
@@ -566,7 +531,6 @@ mod tests {
             RULE_ALLOW_HYGIENE,
             RULE_PANIC_REACH,
             RULE_PERSIST,
-            RULE_KERNEL_PARITY,
             RULE_QUERY_CHARGE,
             RULE_ALLOC_HOT,
         ];

@@ -3,7 +3,7 @@
 //! accumulate/negate pair of the replacement search's complement
 //! route.
 //!
-//! The SIMD kernel tiers, `merge_copy_into`, `accumulate_scratch` and
+//! The sketch kernel loops, `merge_copy_into`, `accumulate_scratch` and
 //! `negate` sit inside the converge-cast inner loop; an allocation there shows up directly in
 //! the per-merge latency the E20 soak and `sketch/merged_copy`
 //! microbench track. Scratch buffers are preallocated by design
@@ -17,7 +17,7 @@
 
 use crate::graph::Workspace;
 use crate::report::Finding;
-use crate::rules::panic_reach::in_kernels_dir;
+use crate::rules::panic_reach::is_kernels_file;
 use crate::summary::{Effect, Summaries};
 use crate::RULE_ALLOC_HOT;
 
@@ -37,7 +37,7 @@ fn is_alloc_root(ws: &Workspace, f: usize) -> bool {
     if !crate::roles_for(path).panics {
         return false; // tool crates / tests are out of scope
     }
-    ROOT_FNS.contains(&node.name.as_str()) || in_kernels_dir(path)
+    ROOT_FNS.contains(&node.name.as_str()) || is_kernels_file(path)
 }
 
 /// Reports local allocations in root bodies and call edges into
@@ -125,9 +125,9 @@ mod tests {
     }
 
     #[test]
-    fn kernel_dir_fns_are_roots_but_stealing_merge_is_not() {
+    fn kernels_file_fns_are_roots_but_stealing_merge_is_not() {
         let dirty = run(&[(
-            "crates/sketch/src/kernels/portable.rs",
+            "crates/sketch/src/kernels.rs",
             "pub(crate) fn fold_cells(dst: &mut [u64]) { let t = vec![0u64; dst.len()]; }",
         )]);
         assert_eq!(dirty.len(), 1);

@@ -6,7 +6,6 @@ pub mod alloc_hot;
 pub mod determinism;
 pub mod events;
 pub mod io_hygiene;
-pub mod kernel_parity;
 pub mod maintain;
 pub mod panic_reach;
 pub mod panics;

@@ -7,7 +7,7 @@
 //! instead of returning a typed error — and the body rule cannot see
 //! it. This rule walks the call graph from every hot root
 //! (`apply_batch`, `answer`, the arena merge/sample kernels, and
-//! everything in the SIMD kernel directory) and reports each call
+//! every function in the sketch kernels file) and reports each call
 //! edge into a function whose transitive effect summary says it can
 //! panic, with the shortest witness chain printed so the fix is
 //! obvious.
@@ -26,10 +26,10 @@ use crate::rules::panics::HOT_FNS;
 use crate::summary::{Effect, Summaries};
 use crate::RULE_PANIC_REACH;
 
-/// Whether `rel_path` is inside the SIMD kernel directory, whose
-/// functions are hot roots wholesale.
-pub(crate) fn in_kernels_dir(rel_path: &str) -> bool {
-    rel_path.starts_with("crates/sketch/src/kernels/")
+/// Whether `rel_path` is the sketch kernels file, whose functions
+/// are hot roots wholesale.
+pub(crate) fn is_kernels_file(rel_path: &str) -> bool {
+    rel_path == "crates/sketch/src/kernels.rs"
 }
 
 /// Whether workspace function `f` is a hot root for reachability.
@@ -43,7 +43,7 @@ pub(crate) fn is_hot_root(ws: &Workspace, f: usize) -> bool {
     if !roles.panics {
         return false;
     }
-    HOT_FNS.contains(&node.name.as_str()) || in_kernels_dir(path)
+    HOT_FNS.contains(&node.name.as_str()) || is_kernels_file(path)
 }
 
 /// Checks every hot root's call edges against the panic summaries.

@@ -21,8 +21,8 @@
 //! order. Name checks only run when the two sides share at least one
 //! name — impls that rename through locals (`let v = …; Ok(M61(v))`)
 //! opt out of name matching but still get the kind check. Derived
-//! writes (`w.put_usize(self.pow.len())`) and reconstructed load
-//! fields (`kernel: KernelKind::selected()`) are deliberately
+//! writes (`w.put_usize(self.pow.len())`) and load fields rebuilt
+//! from other state instead of read are deliberately
 //! nameless/eventless and never reported.
 
 use crate::graph::Workspace;

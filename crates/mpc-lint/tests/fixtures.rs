@@ -106,37 +106,28 @@ fn unsafety_dirty_fixture_fails_both_ways() {
 }
 
 #[test]
-fn kernels_clean_fixture_passes_inside_the_kernels_directory() {
-    let (findings, _) = run(
-        "crates/sketch/src/kernels/sse2.rs",
-        "unsafety_kernels_clean.rs",
-    );
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn kernels_dirty_fixture_fails_both_ways() {
-    // Inside the allowlisted directory but undocumented: both the
-    // `unsafe fn` declaration and the dispatch call site need SAFETY.
-    let (findings, _) = run(
-        "crates/sketch/src/kernels/sse2.rs",
-        "unsafety_kernels_dirty.rs",
-    );
-    assert_eq!(
-        keys(&findings),
-        vec![(RULE_UNSAFE, 2), (RULE_UNSAFE, 10)],
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.message.contains("SAFETY")));
-    // The same source one directory up sits outside the allowlist
-    // (the directory entry must not leak onto sibling paths).
-    let (findings, _) = run("crates/sketch/src/arena.rs", "unsafety_kernels_dirty.rs");
-    assert_eq!(
-        keys(&findings),
-        vec![(RULE_UNSAFE, 2), (RULE_UNSAFE, 10)],
-        "{findings:?}"
-    );
-    assert!(findings.iter().all(|f| f.message.contains("allowlist")));
+fn kernels_file_unsafe_is_a_finding_even_with_safety_comments() {
+    // The sketch kernels are safe code under the crate's
+    // `forbid(unsafe_code)`: `unsafe` there is outside the allowlist,
+    // and a `// SAFETY:` argument does not buy it back. Both the
+    // `unsafe fn` declaration and the dispatch call site are reported.
+    for (name, lines) in [
+        (
+            "unsafety_kernels_clean.rs",
+            vec![(RULE_UNSAFE, 7), (RULE_UNSAFE, 16)],
+        ),
+        (
+            "unsafety_kernels_dirty.rs",
+            vec![(RULE_UNSAFE, 2), (RULE_UNSAFE, 10)],
+        ),
+    ] {
+        let (findings, _) = run("crates/sketch/src/kernels.rs", name);
+        assert_eq!(keys(&findings), lines, "{name}: {findings:?}");
+        assert!(
+            findings.iter().all(|f| f.message.contains("allowlist")),
+            "{name}: {findings:?}"
+        );
+    }
 }
 
 #[test]
@@ -311,10 +302,7 @@ fn real_workspace_is_clean() {
 
 // ----- interprocedural families (call-graph rules) ----------------
 
-use mpc_lint::{
-    lint_sources, RULE_ALLOC_HOT, RULE_KERNEL_PARITY, RULE_PANIC_REACH, RULE_PERSIST,
-    RULE_QUERY_CHARGE,
-};
+use mpc_lint::{RULE_ALLOC_HOT, RULE_PANIC_REACH, RULE_PERSIST, RULE_QUERY_CHARGE};
 
 #[test]
 fn panic_reach_clean_fixture_passes() {
@@ -385,22 +373,16 @@ fn query_charge_dirty_fixture_flags_only_the_uncharged_arm() {
 
 #[test]
 fn alloc_hot_clean_fixture_passes() {
-    let (findings, _) = run(
-        "crates/sketch/src/kernels/portable.rs",
-        "alloc_hot_clean.rs",
-    );
+    let (findings, _) = run("crates/sketch/src/kernels.rs", "alloc_hot_clean.rs");
     assert!(findings.is_empty(), "{findings:?}");
 }
 
 #[test]
 fn alloc_hot_dirty_fixture_reports_local_and_transitive_allocations() {
-    let (findings, _) = run(
-        "crates/sketch/src/kernels/portable.rs",
-        "alloc_hot_dirty.rs",
-    );
+    let (findings, _) = run("crates/sketch/src/kernels.rs", "alloc_hot_dirty.rs");
     // Three findings: the root's local alloc, the transitive edge
     // into `scratch`, and `scratch`'s own local alloc (every fn in
-    // the kernels directory is a root).
+    // the kernels file is a root).
     assert_eq!(
         keys(&findings),
         vec![
@@ -418,7 +400,7 @@ fn alloc_hot_dirty_fixture_reports_local_and_transitive_allocations() {
 
 #[test]
 fn alloc_hot_covers_the_scratch_accumulate_and_negate_ops() {
-    // Outside the kernels directory only the named roots are checked:
+    // Outside the kernels file only the named roots are checked:
     // the scratch sum and negation are flagged, a plain helper is not.
     let (findings, _) = run("crates/sketch/src/arena.rs", "alloc_hot_scratch_ops.rs");
     assert_eq!(
@@ -428,60 +410,6 @@ fn alloc_hot_covers_the_scratch_accumulate_and_negate_ops() {
     );
     assert!(findings[0].message.contains("accumulate_scratch"));
     assert!(findings[1].message.contains("negate"));
-}
-
-/// Runs the three kernel tier fixtures as one workspace.
-fn run_tiers(avx2: &str) -> Vec<Finding> {
-    let files = vec![
-        (
-            "crates/sketch/src/kernels/portable.rs".to_string(),
-            fixture("kernel_parity_portable.rs"),
-        ),
-        (
-            "crates/sketch/src/kernels/sse2.rs".to_string(),
-            fixture("kernel_parity_sse2.rs"),
-        ),
-        (
-            "crates/sketch/src/kernels/avx2.rs".to_string(),
-            fixture(avx2),
-        ),
-    ];
-    lint_sources(&files).0
-}
-
-#[test]
-fn kernel_parity_clean_tier_set_passes() {
-    let findings = run_tiers("kernel_parity_avx2_clean.rs");
-    assert!(findings.is_empty(), "{findings:?}");
-}
-
-#[test]
-fn kernel_parity_dirty_tier_reports_drift_missing_op_and_reference() {
-    let findings = run_tiers("kernel_parity_avx2_dirty.rs");
-    let parity: Vec<_> = findings
-        .iter()
-        .filter(|f| f.rule == RULE_KERNEL_PARITY)
-        .collect();
-    assert_eq!(parity.len(), 3, "{parity:?}");
-    assert!(parity.iter().all(|f| f.file.ends_with("avx2.rs")));
-    assert!(
-        parity
-            .iter()
-            .any(|f| f.message.contains("`top_bit`") && f.message.contains("not in this tier")),
-        "{parity:?}"
-    );
-    assert!(
-        parity.iter().any(
-            |f| f.message.contains("`fold_cells`") && f.message.contains("different signature")
-        ),
-        "{parity:?}"
-    );
-    assert!(
-        parity
-            .iter()
-            .any(|f| f.message.contains("scalar reference")),
-        "{parity:?}"
-    );
 }
 
 /// Mutation drill on the **real** stats source: delete one load read

@@ -1,4 +1,4 @@
-/// Lane-wise fold, shaped like the real SIMD tier entry points.
+/// Lane-wise fold, shaped like a `#[target_feature]` SIMD entry point.
 ///
 /// # Safety
 /// SAFETY: requires SSE2 (callers dispatch only after feature

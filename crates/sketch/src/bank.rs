@@ -92,13 +92,6 @@ impl SketchBank {
         &self.arena
     }
 
-    /// Overrides the arena's kernel tier (see
-    /// [`SketchArena::set_kernel`]) — the hook cross-tier property
-    /// tests use on whole banks. Returns the tier actually installed.
-    pub fn set_kernel(&mut self, kernel: crate::KernelKind) -> crate::KernelKind {
-        self.arena.set_kernel(kernel)
-    }
-
     /// Records an edge insertion in **both** endpoints' sketch
     /// columns (all copies), one level-hash/fingerprint evaluation
     /// per copy for the pair.

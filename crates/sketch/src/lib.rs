@@ -46,29 +46,15 @@
 //! *canonical*: two permutations of one update stream produce
 //! bit-identical storage, which keeps sketch equality structural.
 //!
-//! # Vectorized kernels
+//! # Kernels
 //!
 //! The flat loops every sketch operation bottoms out in — span
 //! folds of cell columns, the cell-write path, zero-skip scans in
-//! front of the one-sparse decoder — are implemented by the
-//! [`kernels`] module at three tiers (portable scalar, x86-64 SSE2,
-//! x86-64 AVX2). Each [`SketchArena`] picks the best tier the host
-//! CPU supports at construction ([`kernels::KernelKind::selected`]);
-//! `MPC_KERNEL=scalar|sse2|avx2` overrides the choice (clamped to
-//! host support, never escalating past the request). The tiers are
-//! **bit-identical** — exact integer adds and `GF(2^61 - 1)`
-//! conditional-subtract adds, no reassociation of anything
-//! non-associative — so same seeds and stream give the same samples,
-//! the same snapshot bytes, and the same `words()` accounting at
-//! every tier; the kernel choice is pure host-side speed, invisible
-//! to the accounted MPC model.
-//!
-//! Unsafe code in this crate is confined to the `kernels` SIMD
-//! modules (raw lane loads/stores behind `#[target_feature]`), which
-//! is why the crate is `#![deny(unsafe_code)]` with narrow
-//! module-level allows rather than `#![forbid]`; mpc-lint's
-//! `unsafe-hygiene` rule allowlists exactly those files and checks
-//! every `unsafe` keeps a `// SAFETY:` justification.
+//! front of the one-sparse decoder — live in the [`kernels`] module
+//! as plain safe functions: exact wrapping integer adds and
+//! `GF(2^61 - 1)` field adds, no floats and no reassociation, so same
+//! seeds and stream give the same samples and the same snapshot bytes
+//! on every host.
 //!
 //! # Examples
 //!
@@ -85,11 +71,7 @@
 //! }
 //! ```
 
-// Not `forbid` (which cannot be overridden): the `kernels` SIMD
-// modules carry `#![allow(unsafe_code)]` for their lane loads/stores.
-// Everything else in the crate stays unsafe-free, enforced here and
-// audited by mpc-lint's unsafe-hygiene rule.
-#![deny(unsafe_code)]
+#![forbid(unsafe_code)]
 
 pub mod arena;
 pub mod bank;

@@ -7,25 +7,15 @@
 //! Each case partitions `C` into groups, folds `G` directly, folds
 //! every other group into its own accumulator, sums those with
 //! `accumulate_scratch`, negates, and checks that both accumulators
-//! hold identical cells and sample identically — at every copy and
-//! on every kernel tier the host runs, with the tiers also agreeing
-//! with each other.
+//! hold identical cells and sample identically at every copy.
 
 use mpc_graph::ids::Edge;
 use mpc_graph::oracle;
 use mpc_sketch::vertex::EdgeSample;
-use mpc_sketch::{KernelKind, SketchBank};
+use mpc_sketch::SketchBank;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeSet;
-
-/// Every tier the host can actually run.
-fn tiers() -> Vec<KernelKind> {
-    [KernelKind::Scalar, KernelKind::Sse2, KernelKind::Avx2]
-        .into_iter()
-        .filter(|k| k.is_available())
-        .collect()
-}
 
 /// A random update stream honouring the dynamic-graph contract
 /// (inserts of absent edges, deletes of live ones) over vertices
@@ -51,28 +41,17 @@ fn random_stream(touched: u32, updates: usize, seed: u64) -> (Vec<(Edge, bool)>,
     (stream, live.into_iter().collect())
 }
 
-/// One bank per available tier, all driven through `stream`.
-fn banks_on_all_tiers(
-    n: usize,
-    copies: usize,
-    seed: u64,
-    stream: &[(Edge, bool)],
-) -> Vec<SketchBank> {
-    tiers()
-        .into_iter()
-        .map(|k| {
-            let mut bank = SketchBank::new(n, copies, seed);
-            assert_eq!(bank.set_kernel(k), k, "tier {k:?} reported available");
-            for &(e, insert) in stream {
-                if insert {
-                    bank.insert_edge(e);
-                } else {
-                    bank.delete_edge(e);
-                }
-            }
-            bank
-        })
-        .collect()
+/// A bank driven through `stream`.
+fn bank_from(n: usize, copies: usize, seed: u64, stream: &[(Edge, bool)]) -> SketchBank {
+    let mut bank = SketchBank::new(n, copies, seed);
+    for &(e, insert) in stream {
+        if insert {
+            bank.insert_edge(e);
+        } else {
+            bank.delete_edge(e);
+        }
+    }
+    bank
 }
 
 /// The vertex lists of the components of `live` over `0..n`, in
@@ -91,58 +70,44 @@ fn components(n: usize, live: &[Edge]) -> Vec<Vec<u32>> {
 type Cells = Vec<(i64, i128, mpc_hashing::field::M61)>;
 
 /// Asserts the negation identity for `group` against the other
-/// groups of a closed set, on every bank and copy; returns the
-/// per-copy samples (identical on every tier).
+/// groups of a closed set, at every copy; returns the per-copy
+/// samples.
 fn assert_identity(
-    banks: &[SketchBank],
+    bank: &SketchBank,
     group: &[u32],
     others: &[Vec<u32>],
     label: &str,
 ) -> Vec<EdgeSample> {
-    let mut reference: Option<Vec<(Cells, EdgeSample)>> = None;
-    for bank in banks {
-        let tier = bank.arena().kernel();
-        let mut seen = Vec::new();
-        for copy in 0..bank.copies() {
-            let mut direct = bank.new_scratch();
-            direct.reset(copy);
-            bank.merge_copy_into(group, &mut direct);
-            let mut rest = bank.new_scratch();
-            rest.reset(copy);
-            let mut one = bank.new_scratch();
-            for other in others {
-                one.reset(copy);
-                bank.merge_copy_into(other, &mut one);
-                bank.accumulate_scratch(&mut rest, &one);
-            }
-            rest.negate();
-            let cells = |s: &mpc_sketch::MergeScratch| -> Cells {
-                (0..s.levels()).map(|l| s.cell(l)).collect()
-            };
-            let want = cells(&direct);
-            assert_eq!(
-                want,
-                cells(&rest),
-                "{label}: cells differ ({tier:?}, copy {copy})"
-            );
-            let sample = bank.sample_merged(&direct);
-            assert_eq!(
-                sample,
-                bank.sample_merged(&rest),
-                "{label}: samples differ ({tier:?}, copy {copy})"
-            );
-            seen.push((want, sample));
+    let cells =
+        |s: &mpc_sketch::MergeScratch| -> Cells { (0..s.levels()).map(|l| s.cell(l)).collect() };
+    let mut samples = Vec::new();
+    for copy in 0..bank.copies() {
+        let mut direct = bank.new_scratch();
+        direct.reset(copy);
+        bank.merge_copy_into(group, &mut direct);
+        let mut rest = bank.new_scratch();
+        rest.reset(copy);
+        let mut one = bank.new_scratch();
+        for other in others {
+            one.reset(copy);
+            bank.merge_copy_into(other, &mut one);
+            bank.accumulate_scratch(&mut rest, &one);
         }
-        match &reference {
-            None => reference = Some(seen),
-            Some(r) => assert_eq!(r, &seen, "{label}: tier {tier:?} diverged"),
-        }
+        rest.negate();
+        assert_eq!(
+            cells(&direct),
+            cells(&rest),
+            "{label}: cells differ (copy {copy})"
+        );
+        let sample = bank.sample_merged(&direct);
+        assert_eq!(
+            sample,
+            bank.sample_merged(&rest),
+            "{label}: samples differ (copy {copy})"
+        );
+        samples.push(sample);
     }
-    reference
-        .expect("the scalar tier always runs")
-        .into_iter()
-        .map(|(_, s)| s)
-        .collect()
+    samples
 }
 
 /// Splits `set` into `parts` random groups (some may be empty).
@@ -160,7 +125,7 @@ fn negated_complement_equals_direct_fold_on_random_graphs() {
         let n = 80;
         // Vertices 70..80 are never touched.
         let (stream, live) = random_stream(70, 140, 0x6E6 + seed);
-        let banks = banks_on_all_tiers(n, 4, 0x5EED ^ seed, &stream);
+        let bank = bank_from(n, 4, 0x5EED ^ seed, &stream);
         let comps = components(n, &live);
         let mut rng = StdRng::seed_from_u64(seed);
         for trial in 0..8 {
@@ -178,7 +143,7 @@ fn negated_complement_equals_direct_fold_on_random_graphs() {
             let mut groups = random_partition(&closed, parts, &mut rng);
             let g = groups.swap_remove(rng.gen_range(0..groups.len()));
             assert_identity(
-                &banks,
+                &bank,
                 &g,
                 &groups,
                 &format!("seed {seed} trial {trial} ({parts} groups)"),
@@ -191,7 +156,7 @@ fn negated_complement_equals_direct_fold_on_random_graphs() {
 fn group_without_materialized_members_is_empty_both_ways() {
     let n = 40;
     let (stream, live) = random_stream(30, 60, 0xE3);
-    let banks = banks_on_all_tiers(n, 3, 0xE3, &stream);
+    let bank = bank_from(n, 3, 0xE3, &stream);
     let comps = components(n, &live);
     // C: every component; G: untouched vertices only (each its own
     // component, so G ⊂ C); the rest of C split into two groups.
@@ -203,13 +168,11 @@ fn group_without_materialized_members_is_empty_both_ways() {
         .filter(|&v| v < 30)
         .collect();
     let (a, b) = others.split_at(others.len() / 2);
-    let samples = assert_identity(&banks, &untouched, &[a.to_vec(), b.to_vec()], "untouched");
+    let samples = assert_identity(&bank, &untouched, &[a.to_vec(), b.to_vec()], "untouched");
     assert!(samples.iter().all(|&s| s == EdgeSample::Empty));
-    for bank in &banks {
-        let mut s = bank.new_scratch();
-        s.reset(0);
-        assert_eq!(bank.merge_copy_into(&untouched, &mut s), 0);
-    }
+    let mut s = bank.new_scratch();
+    s.reset(0);
+    assert_eq!(bank.merge_copy_into(&untouched, &mut s), 0);
 }
 
 #[test]
@@ -230,10 +193,10 @@ fn exhausted_group_inside_the_complement() {
     // Churn that cancels back out.
     stream.push((Edge::new(2, 13), true));
     stream.push((Edge::new(2, 13), false));
-    let banks = banks_on_all_tiers(20, 4, 0xC1C, &stream);
+    let bank = bank_from(20, 4, 0xC1C, &stream);
     let exhausted: Vec<u32> = (6..10).collect();
     let own = assert_identity(
-        &banks,
+        &bank,
         &exhausted,
         &[(0..6).collect(), (10..16).collect()],
         "own",
@@ -242,7 +205,7 @@ fn exhausted_group_inside_the_complement() {
     // G = part of the first cycle; C ∖ G = the rest of it, the
     // exhausted cycle, and the path in two pieces.
     let samples = assert_identity(
-        &banks,
+        &bank,
         &[0, 1, 2],
         &[
             vec![3, 4, 5],
@@ -270,18 +233,18 @@ fn giant_piece_next_to_singleton_pieces() {
     let mut stream: Vec<(Edge, bool)> = (0..299u32).map(|i| (Edge::new(i, i + 1), true)).collect();
     let (chords, _) = random_stream(300, 600, 0x61A);
     stream.extend(chords.into_iter().filter(|(e, _)| e.v() != e.u() + 1));
-    let banks = banks_on_all_tiers(n, 4, 0x61A, &stream);
+    let bank = bank_from(n, 4, 0x61A, &stream);
     // Cut out twelve singleton pieces from the giant.
     let singles: Vec<u32> = (0..12u32).map(|i| i * 25 + 7).collect();
     let giant: Vec<u32> = (0..300u32).filter(|v| !singles.contains(v)).collect();
     let mut pieces: Vec<Vec<u32>> = singles.iter().map(|&v| vec![v]).collect();
     pieces.extend((300..n as u32).step_by(10).map(|v| vec![v]));
     // The replacement search's shape: the giant from its singletons…
-    let samples = assert_identity(&banks, &giant, &pieces, "giant from singletons");
+    let samples = assert_identity(&bank, &giant, &pieces, "giant from singletons");
     assert!(samples.iter().all(|s| !matches!(s, EdgeSample::Empty)));
     // …and a singleton from the giant plus the other singletons.
     let g = pieces.remove(3);
     let mut others = pieces;
     others.push(giant);
-    assert_identity(&banks, &g, &others, "singleton from giant");
+    assert_identity(&bank, &g, &others, "singleton from giant");
 }

@@ -249,7 +249,7 @@ fn different_seeds_differ_somewhere() {
 /// batch's charged rounds and words are folded into a running FNV-1a
 /// hash; the final `Persist` bytes are hashed separately. Host-side
 /// shortcuts in the replacement search must leave both constants
-/// unchanged — at every worker count and every kernel tier.
+/// unchanged — at every worker count.
 #[test]
 fn replacement_search_golden_pin() {
     use mpc_stream::snapshot::{fnv1a, Persist, SnapshotWriter};
